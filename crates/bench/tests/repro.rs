@@ -145,7 +145,7 @@ fn rr_failover_reconverges_clean_with_bounded_outage() {
 
 #[test]
 fn media_sub_units_are_per_session_and_ledger_counted() {
-    // The batch engine splits media arms into (arm × session) sub-units:
+    // The media campaign splits arms into (arm × session) sub-units:
     // the ledger must count one unit per session, and the merged report
     // list must be in canonical (arm, session) order — byte-identical at
     // threads 1/2/8 — because every sub-unit's RNG state derives from its
@@ -168,11 +168,14 @@ fn media_sub_units_are_per_session_and_ledger_counted() {
             par,
         )
     };
-    let u0 = vns_netsim::ledger::units_processed();
+    // A sequential run counts into this thread's unmerged ledger cell,
+    // which concurrently running tests cannot move (their `par_map` joins
+    // move the merged total).
+    vns_netsim::ledger::take_local();
     let seq = run(Par::seq());
     let expected_units = clients.len() * w.vns.echo_servers().len() * 2 * sessions_per_arm;
     assert_eq!(
-        vns_netsim::ledger::units_processed() - u0,
+        vns_netsim::ledger::take_local().units,
         expected_units as u64,
         "one ledger unit per (arm, session) sub-unit"
     );

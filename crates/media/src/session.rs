@@ -5,7 +5,7 @@
 //! received packet straight back; the client logs loss, per-5-second-slot
 //! loss counts and RFC 3550 jitter.
 
-use vns_netsim::{Dur, PathChannel, SimTime, BATCH_LEN};
+use vns_netsim::{BatchScratch, Dur, PathChannel, SimTime, BATCH_LEN};
 
 use crate::rtp::JitterEstimator;
 use crate::stream::{PacketFeed, ScheduledPacket};
@@ -98,16 +98,16 @@ where
     let mut min_rtt_ns = u64::MAX;
     let mut start: Option<SimTime> = None;
 
-    // Both legs run the columnar batch engine's live-set form: the feed
-    // fills `fwd.times` [`BATCH_LEN`] packets at a time (the session only
-    // consumes send instants), one forward `send_batch_live` leaves the
-    // delivered arrival clocks in `fwd.now`, and that column is fed
-    // straight back as the reverse leg's input — no per-packet outcome
-    // enums, no echo-time re-materialisation. Losses come back as sparse
-    // packed columns, so slot attribution costs one division per *lost*
-    // packet instead of a cursor walk over every packet. Scratch blocks
-    // come from the per-thread arena pool, so a session allocates nothing
-    // for its batching.
+    // Both legs are live-set sends: the feed fills `fwd.times`
+    // [`BATCH_LEN`] packets at a time (the session only consumes send
+    // instants), one forward `send_live` leaves the delivered arrival
+    // clocks in `fwd.now`, and that column is fed straight back as the
+    // reverse leg's input — no per-packet outcome enums, no echo-time
+    // re-materialisation. Losses come back as sparse packed columns, so
+    // slot attribution costs one division per *lost* packet instead of a
+    // cursor walk over every packet. Scratch blocks come from the
+    // per-thread arena pool, so a session allocates nothing for its
+    // batching.
     let mut packets = packets.into_iter();
     let mut fwd = vns_netsim::scratch();
     let mut rev = vns_netsim::scratch();
@@ -123,7 +123,9 @@ where
             start_ns = fwd.times[0].as_nanos();
         }
         sent += fwd.times.len() as u32;
-        let k = forward.send_batch_live(&mut fwd);
+        let BatchScratch { times, now, .. } = &mut *fwd;
+        now.extend(times.iter().map(|t| t.as_nanos()));
+        let k = forward.send_live(&mut fwd);
         delivered_out += k as u32;
         for &pk in fwd.lost.iter() {
             let t = fwd.times[(pk >> 8) as usize].as_nanos();
@@ -131,7 +133,8 @@ where
             slot_losses[s] += 1;
         }
         rev.clear();
-        let m = reverse.send_batch_live_ns(&fwd.now[..k], &mut rev);
+        rev.now.extend_from_slice(&fwd.now);
+        let m = reverse.send_live(&mut rev);
         returned += m as u32;
         // A reverse-leg index addresses the forward delivered set; chase
         // it through `fwd.idx` (when non-identity) to the original packet.
@@ -148,13 +151,13 @@ where
         }
         if fwd.idx.is_empty() && rev.idx.is_empty() {
             // Lossless chunk on both legs: delivered slot j is packet j.
-            for (j, &back_ns) in rev.now.iter().take(m).enumerate() {
+            for (j, &back_ns) in rev.now.iter().enumerate() {
                 let rtt_ns = back_ns - fwd.times[j].as_nanos();
                 jitter.on_transit_ns(rtt_ns);
                 min_rtt_ns = min_rtt_ns.min(rtt_ns);
             }
         } else {
-            for (j, &back_ns) in rev.now.iter().take(m).enumerate() {
+            for (j, &back_ns) in rev.now.iter().enumerate() {
                 let r = if rev.idx.is_empty() {
                     j
                 } else {

@@ -9,7 +9,7 @@
 
 use rand::rngs::SmallRng;
 use rand::Rng;
-use vns_netsim::{Dur, SendAt, SimTime};
+use vns_netsim::{Dur, SimTime};
 
 /// A video stream class.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -227,12 +227,6 @@ pub struct ScheduledPacket {
     pub payload_bytes: usize,
     /// Frame index the packet belongs to.
     pub frame: u32,
-}
-
-impl SendAt for ScheduledPacket {
-    fn send_at(&self) -> SimTime {
-        self.sent
-    }
 }
 
 /// The full send schedule of one stream.

@@ -1,6 +1,7 @@
-//! Criterion microbenchmarks for the structure-of-arrays batch engine:
-//! batched vs scalar sends on representative multi-hop channels, and the
-//! arena scratch pool vs fresh heap allocation on the session-setup path.
+//! Criterion microbenchmarks for the live-set packet engine: chunked
+//! live-set sends vs one `send` per packet on representative multi-hop
+//! channels, and the arena scratch pool vs fresh heap allocation on the
+//! session-setup path.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 
@@ -47,7 +48,20 @@ fn times(n: u64) -> Vec<SimTime> {
         .collect()
 }
 
-fn bench_send_scalar_vs_batch(c: &mut Criterion) {
+/// Sends `ts` through `ch` in [`vns_netsim::BATCH_LEN`] live-set chunks;
+/// returns the delivered count.
+fn send_live_chunks(ch: &mut PathChannel, ts: &[SimTime]) -> usize {
+    let mut s = scratch();
+    let mut delivered = 0;
+    for chunk in ts.chunks(vns_netsim::BATCH_LEN) {
+        s.now.clear();
+        s.now.extend(chunk.iter().map(|t| t.as_nanos()));
+        delivered += ch.send_live(&mut s);
+    }
+    delivered
+}
+
+fn bench_send_scalar_vs_live(c: &mut Criterion) {
     let ts = times(8192);
     let mut g = c.benchmark_group("channel");
     g.bench_function("send/scalar_8k", |b| {
@@ -62,29 +76,12 @@ fn bench_send_scalar_vs_batch(c: &mut Criterion) {
             black_box(delivered);
         });
     });
-    g.bench_function("send/batch_8k", |b| {
+    // The live-set call the session loop drives: delivered clocks left in
+    // `now`, losses in the sparse column.
+    g.bench_function("send/live_8k", |b| {
         b.iter(|| {
             let mut ch = PathChannel::new(media_hops(7), SmallRng::seed_from_u64(9));
-            let mut s = scratch();
-            s.times.extend_from_slice(&ts);
-            ch.send_batch(&mut s);
-            let delivered = s.outcomes.iter().filter(|o| o.delivered()).count();
-            black_box(delivered);
-        });
-    });
-    // The live-set API the session loop actually drives: no outcome
-    // column, delivered clocks left in `now`, losses in the sparse column.
-    g.bench_function("send/batch_live_8k", |b| {
-        b.iter(|| {
-            let mut ch = PathChannel::new(media_hops(7), SmallRng::seed_from_u64(9));
-            let mut s = scratch();
-            let mut delivered = 0usize;
-            for chunk in ts.chunks(vns_netsim::BATCH_LEN) {
-                s.clear();
-                s.times.extend_from_slice(chunk);
-                delivered += ch.send_batch_live(&mut s);
-            }
-            black_box(delivered);
+            black_box(send_live_chunks(&mut ch, &ts));
         });
     });
     g.finish();
@@ -116,16 +113,13 @@ criterion_main!(benches, probes);
 fn bench_components(c: &mut Criterion) {
     let ts = times(8192);
     let mut g = c.benchmark_group("probe");
-    g.bench_function("ideal_1hop_batch_8k", |b| {
+    g.bench_function("ideal_1hop_live_8k", |b| {
         b.iter(|| {
             let mut ch = PathChannel::new(vec![HopChannel::ideal(5.0)], SmallRng::seed_from_u64(9));
-            let mut s = scratch();
-            s.times.extend_from_slice(&ts);
-            ch.send_batch(&mut s);
-            black_box(s.outcomes.len());
+            black_box(send_live_chunks(&mut ch, &ts));
         });
     });
-    g.bench_function("ideal_5hop_batch_8k", |b| {
+    g.bench_function("ideal_5hop_live_8k", |b| {
         b.iter(|| {
             let hops = vec![
                 HopChannel::ideal(2.0),
@@ -135,14 +129,11 @@ fn bench_components(c: &mut Criterion) {
                 HopChannel::ideal(25.0),
             ];
             let mut ch = PathChannel::new(hops, SmallRng::seed_from_u64(9));
-            let mut s = scratch();
-            s.times.extend_from_slice(&ts);
-            ch.send_batch(&mut s);
-            black_box(s.outcomes.len());
+            black_box(send_live_chunks(&mut ch, &ts));
         });
     });
     g.finish();
 }
 
-criterion_group!(benches, bench_send_scalar_vs_batch, bench_arena_vs_heap);
+criterion_group!(benches, bench_send_scalar_vs_live, bench_arena_vs_heap);
 criterion_group!(probes, bench_components);

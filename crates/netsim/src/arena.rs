@@ -1,11 +1,12 @@
-//! Recycled per-thread scratch for the batch packet engine.
+//! Recycled per-thread scratch for the live-set packet engine.
 //!
-//! Every batched send needs a handful of columnar buffers (send instants,
-//! running clocks, live-packet indices, outcomes). Allocating them per
-//! session would put four `Vec` round-trips on the setup path of each of
-//! steady-state's ~170k session units; instead a thread-local pool hands
-//! out [`BatchScratch`] blocks that keep their capacity across uses — after
-//! the first few sessions on a thread, batch sends allocate nothing.
+//! Every live-set send needs a handful of columnar buffers (running
+//! clocks, live-packet indices, the loss column, and the caller's send
+//! instants). Allocating them per session would put four `Vec` round-trips
+//! on the setup path of each of steady-state's ~170k session units; instead
+//! a thread-local pool hands out [`BatchScratch`] blocks that keep their
+//! capacity across uses — after the first few sessions on a thread,
+//! live-set sends allocate nothing.
 //!
 //! The workspace forbids `unsafe`, so this is a recycling pool rather than
 //! a raw bump allocator: [`scratch`] pops a block (or builds one), the
@@ -16,29 +17,28 @@
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
 
-use crate::channel::PathOutcome;
 use crate::time::SimTime;
 
-/// Column block used by one batched send (see [`crate::channel`]).
+/// Column block used by one live-set send (see
+/// [`crate::PathChannel::send_live`]).
 ///
-/// `times` is the caller-filled input column; `outcomes` is the engine's
-/// output column (one entry per input); `now` and `idx` are the engine's
-/// internal live-set columns. Capacities persist across pool round-trips.
+/// `now`, `idx` and `lost` are the engine's live-set columns; `times` is
+/// the caller's, which the engine never reads. Capacities persist across
+/// pool round-trips.
 #[derive(Debug, Default)]
 pub struct BatchScratch {
-    /// Input: send instants, one per packet in the batch.
+    /// Caller's column: the send instants of the chunk, kept for looking
+    /// packets up again by index after the send.
     pub times: Vec<SimTime>,
-    /// Output: per-packet outcomes, same length as `times` after a send.
-    pub outcomes: Vec<PathOutcome>,
-    /// Internal: running clock of each still-live packet, nanoseconds.
-    /// After a live-set send this is the delivered packets' arrival clocks.
+    /// Input: the send clock of each packet, nanoseconds. After a
+    /// live-set send: the delivered packets' arrival clocks.
     pub now: Vec<u64>,
-    /// Internal: original batch index of each still-live packet. After a
-    /// live-set send it is either empty (identity mapping: nothing was
-    /// dropped, delivered slot `j` is original packet `j`) or one original
-    /// index per delivered slot.
+    /// Internal: input index of each still-live packet. After a live-set
+    /// send it is either empty (identity mapping: nothing was dropped,
+    /// delivered slot `j` is input packet `j`) or one input index per
+    /// delivered slot.
     pub idx: Vec<u32>,
-    /// Sparse loss column of a live-set send: one `(original index << 8) |
+    /// Sparse loss column of a live-set send: one `(input index << 8) |
     /// hop` entry per dropped packet, in drop order (hop-major).
     pub lost: Vec<u32>,
 }
@@ -47,7 +47,6 @@ impl BatchScratch {
     /// Empties all columns (capacity is retained).
     pub fn clear(&mut self) {
         self.times.clear();
-        self.outcomes.clear();
         self.now.clear();
         self.idx.clear();
         self.lost.clear();

@@ -108,9 +108,9 @@ pub(crate) fn unit_open01_from(raw: u64) -> f64 {
 /// Unit-agnostic: `mean` and `cap` just need a consistent scale, and the
 /// result comes back in that scale — the hot paths pass nanoseconds so the
 /// per-packet ms→ns conversion disappears. This is the single definition
-/// both the scalar and the batched send paths go through, so
-/// fast/exact/batched modes consume the RNG identically (one `next_u64`
-/// per draw) and produce bit-equal delays.
+/// both the packet engine and [`DelaySampler::sample_ns`] go through, so
+/// they consume the RNG identically (one `next_u64` per draw) and produce
+/// bit-equal delays.
 #[inline]
 pub(crate) fn queue_draw(t: &LnTables, mean: f64, cap: f64, rng: &mut SmallRng) -> f64 {
     let r = rng.next_u64();
@@ -178,7 +178,7 @@ impl DelaySampler {
     }
 
     /// Samples a one-way delay given a precomputed mean queueing delay.
-    /// The fast path caches [`DelaySampler::mean_queue_ms`] per epoch (it
+    /// The packet engine caches [`DelaySampler::mean_queue_ms`] per epoch (it
     /// walks the diurnal trig) and draws through this, which consumes the
     /// RNG exactly like [`DelaySampler::sample_ms`]: one `next_u64` per
     /// packet through `queue_draw`.
@@ -190,8 +190,9 @@ impl DelaySampler {
     /// `t` — the form the packet engine's clock arithmetic consumes. The
     /// whole computation runs in the nanosecond scale
     /// (`base·10⁶ + 0.5 + queue_draw(mean·10⁶, cap·10⁶)`, truncated), which
-    /// is also exactly how the epoch-cached fast path assembles its delays,
-    /// so exact and fast modes stay bit-equal on lossless hops.
+    /// is also exactly how the epoch-cached packet engine assembles its
+    /// delays, so per-packet exact evaluation and the engine stay bit-equal
+    /// on lossless hops.
     pub fn sample_ns(&self, t: SimTime, rng: &mut SmallRng) -> u64 {
         let mean_ns = self.mean_queue_ms(t) * 1_000_000.0;
         let q = queue_draw(ln_tables(), mean_ns, self.max_queue_ms * 1_000_000.0, rng);

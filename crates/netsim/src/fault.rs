@@ -50,8 +50,8 @@ impl BlackoutSchedule {
     }
 
     /// The maximal segment `[lo, hi)` containing `t` on which membership is
-    /// constant, plus whether that segment is blacked out. The fast path in
-    /// [`crate::PathChannel`] caches the returned segment so steady-state
+    /// constant, plus whether that segment is blacked out. The packet engine
+    /// in [`crate::PathChannel`] caches the returned segment so steady-state
     /// packets answer the blackout question with two comparisons while
     /// staying *exact*: every window boundary starts a new segment, so the
     /// cache can never smear a window edge across an epoch.

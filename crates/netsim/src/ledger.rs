@@ -26,10 +26,18 @@
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
+/// Merged totals: the process-wide pair behind [`merge`], [`packets_sent`]
+/// and [`units_processed`]. Tests build private ones, so their deltas do
+/// not move when a concurrently running test's `par_map` joins.
+#[derive(Debug)]
+struct Totals {
+    packets: AtomicU64,
+    units: AtomicU64,
+}
+
 /// Process totals, fed only by [`merge`] at `par_map` join points (and by
 /// nothing else — workers never touch these directly).
-static MERGED_PACKETS: AtomicU64 = AtomicU64::new(0);
-static MERGED_UNITS: AtomicU64 = AtomicU64::new(0);
+static MERGED: Totals = Totals::new();
 
 thread_local! {
     static LOCAL_PACKETS: Cell<u64> = const { Cell::new(0) };
@@ -66,62 +74,90 @@ pub fn take_local() -> LedgerDelta {
     }
 }
 
+impl Totals {
+    const fn new() -> Self {
+        Totals {
+            packets: AtomicU64::new(0),
+            units: AtomicU64::new(0),
+        }
+    }
+
+    fn merge(&self, delta: LedgerDelta) {
+        if delta.packets > 0 {
+            self.packets.fetch_add(delta.packets, Ordering::Relaxed);
+        }
+        if delta.units > 0 {
+            self.units.fetch_add(delta.units, Ordering::Relaxed);
+        }
+    }
+
+    fn packets_sent(&self) -> u64 {
+        self.packets.load(Ordering::Relaxed) + LOCAL_PACKETS.with(Cell::get)
+    }
+
+    fn units_processed(&self) -> u64 {
+        self.units.load(Ordering::Relaxed) + LOCAL_UNITS.with(Cell::get)
+    }
+}
+
 /// Folds a drained worker delta into the process totals.
 pub fn merge(delta: LedgerDelta) {
-    if delta.packets > 0 {
-        MERGED_PACKETS.fetch_add(delta.packets, Ordering::Relaxed);
-    }
-    if delta.units > 0 {
-        MERGED_UNITS.fetch_add(delta.units, Ordering::Relaxed);
-    }
+    MERGED.merge(delta);
 }
 
 /// Packets sent through `PathChannel`s, as visible to this thread: the
 /// merged process total plus this thread's still-local tally.
 pub fn packets_sent() -> u64 {
-    MERGED_PACKETS.load(Ordering::Relaxed) + LOCAL_PACKETS.with(Cell::get)
+    MERGED.packets_sent()
 }
 
 /// Work units processed by `par_map`, as visible to this thread (merged
 /// total plus this thread's local tally).
 pub fn units_processed() -> u64 {
-    MERGED_UNITS.load(Ordering::Relaxed) + LOCAL_UNITS.with(Cell::get)
+    MERGED.units_processed()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    // Each test reads a private `Totals`: the process-wide one moves
+    // whenever a concurrently running test merges (every `par_map` join
+    // does).
+
     #[test]
     fn local_counts_are_immediately_visible() {
-        let p0 = packets_sent();
-        let u0 = units_processed();
+        let totals = Totals::new();
+        let p0 = totals.packets_sent();
+        let u0 = totals.units_processed();
         add_packets(5);
         add_units(2);
-        assert_eq!(packets_sent() - p0, 5);
-        assert_eq!(units_processed() - u0, 2);
+        assert_eq!(totals.packets_sent() - p0, 5);
+        assert_eq!(totals.units_processed() - u0, 2);
     }
 
     #[test]
     fn take_local_drains_and_merge_restores_visibility() {
+        let totals = Totals::new();
+        take_local();
         add_packets(7);
-        let before_merge = MERGED_PACKETS.load(Ordering::Relaxed);
         let d = take_local();
-        assert!(d.packets >= 7);
-        assert_eq!(LOCAL_PACKETS.with(Cell::get), 0);
-        merge(d);
-        assert!(MERGED_PACKETS.load(Ordering::Relaxed) >= before_merge + 7);
+        assert_eq!(d.packets, 7);
+        assert_eq!(totals.packets_sent(), 0);
+        totals.merge(d);
+        assert_eq!(totals.packets_sent(), 7);
     }
 
     #[test]
     fn other_threads_do_not_skew_a_local_delta() {
-        let before = packets_sent();
+        let totals = Totals::new();
+        let before = totals.packets_sent();
         let handle = std::thread::spawn(|| {
             // A foreign thread's unmerged tally must not be visible here.
             add_packets(1_000_000);
         });
         add_packets(3);
         handle.join().expect("thread");
-        assert_eq!(packets_sent() - before, 3);
+        assert_eq!(totals.packets_sent() - before, 3);
     }
 }

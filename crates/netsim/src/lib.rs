@@ -17,12 +17,13 @@
 //!   campaign work units (byte-identical output at any thread count);
 //! * [`DelaySampler`] — propagation + utilisation-dependent queueing delay;
 //! * [`HopChannel`]/[`PathChannel`] — a packet's eye view of a multi-hop
-//!   path, used by both the probing and media crates; `send_batch` is the
-//!   columnar structure-of-arrays fast path;
+//!   path, used by both the probing and media crates; one engine moves
+//!   every packet, as a columnar live set of up to [`BATCH_LEN`] packets
+//!   ([`PathChannel::send_live`]) or of one ([`PathChannel::send`]);
 //! * [`ledger`] — per-thread packet/unit throughput cells, merged in
 //!   canonical worker order at `par_map` joins;
-//! * [`arena`] — recycled per-thread scratch blocks backing the batch
-//!   engine (no allocation on the steady-state session path);
+//! * [`arena`] — recycled per-thread scratch blocks backing live-set
+//!   sends (no allocation on the steady-state session path);
 //! * [`fault`] — scheduled blackout windows modelling routing-convergence
 //!   events (the bursty-outlier cause in Fig 10);
 //! * [`ArrivalProcess`] — windowed non-homogeneous Poisson call arrivals
@@ -44,13 +45,10 @@ pub mod loss;
 pub mod par;
 pub mod rng;
 pub mod time;
-pub mod trace;
 
 pub use arena::{scratch, BatchScratch, Scratch};
 pub use arrivals::ArrivalProcess;
-pub use channel::{
-    packets_sent, HopChannel, PathChannel, PathOutcome, SendAt, SendMany, BATCH_LEN, DEFAULT_EPOCH,
-};
+pub use channel::{packets_sent, HopChannel, PathChannel, PathOutcome, BATCH_LEN, DEFAULT_EPOCH};
 pub use delay::DelaySampler;
 pub use diurnal::{DiurnalProfile, DiurnalShape};
 pub use engine::Engine;
@@ -61,4 +59,3 @@ pub use loss::{LossModel, LossProcess};
 pub use par::{par_map, Par};
 pub use rng::RngTree;
 pub use time::{Dur, SimTime, Window};
-pub use trace::{Trace, TraceEvent};

@@ -327,7 +327,7 @@ impl LossProcess {
     /// packet is lost). Distributionally equivalent to drawing `gen_bool(p)`
     /// per packet, at the cost of one `ln` per loss instead of one RNG
     /// draw per packet. Because the geometric distribution is memoryless,
-    /// discarding an unexhausted gap and re-drawing (as the fast path does
+    /// discarding an unexhausted gap and re-drawing (as the packet engine does
     /// at every epoch boundary) does not bias the loss rate.
     pub fn gap_to_next_loss(&mut self, p: f64) -> u64 {
         if p <= 0.0 {

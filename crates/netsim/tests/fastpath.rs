@@ -1,19 +1,23 @@
-//! Fast-path vs exact-path equivalence for [`PathChannel`].
+//! Epoch-cached engine vs exact per-packet reference for [`PathChannel`].
 //!
-//! The epoch-cached fast path (default 1 s epoch) is an approximation of
-//! the exact per-packet reference (`epoch == Dur::ZERO`): loss probability
+//! The engine's 1 s epoch cache is an approximation of the exact
+//! per-packet reference (`exact::ExactPath`): loss probability
 //! and mean queueing delay are frozen at each epoch's start, and losses are
 //! realised by geometric gap sampling instead of per-packet Bernoulli
 //! draws. These tests pin down what the approximation is allowed to change
 //! (the exact packet fates) and what it must preserve (loss rates, delay
 //! distributions, blackout window edges, lossless-path bit-exactness).
 
+mod exact;
+
+use exact::ExactPath;
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use vns_netsim::diurnal::{DiurnalProfile, DiurnalShape};
 use vns_netsim::{
-    BlackoutSchedule, DelaySampler, Dur, HopChannel, LossModel, LossProcess, PathChannel, SimTime,
+    BlackoutSchedule, DelaySampler, Dur, HopChannel, LossModel, LossProcess, PathChannel,
+    PathOutcome, SimTime,
 };
 
 fn lossy_hop(model: LossModel, seed: u64) -> HopChannel {
@@ -22,8 +26,9 @@ fn lossy_hop(model: LossModel, seed: u64) -> HopChannel {
     hop
 }
 
-/// Sends `n` packets at `spacing` through a fresh channel built by `mk`,
-/// returning (loss fraction, mean one-way delay in ms over delivered).
+/// Sends `n` packets at `spacing` through a fresh channel (or, with
+/// `exact`, the reference) built by `mk`, returning (loss fraction, mean
+/// one-way delay in ms over delivered).
 fn run(
     mk: impl Fn() -> Vec<HopChannel>,
     exact: bool,
@@ -32,17 +37,19 @@ fn run(
     rng_seed: u64,
 ) -> (f64, f64) {
     let rng = SmallRng::seed_from_u64(rng_seed);
-    let mut ch = if exact {
-        PathChannel::exact(mk(), rng)
+    let mut send: Box<dyn FnMut(SimTime) -> PathOutcome> = if exact {
+        let mut ch = ExactPath::new(mk(), rng);
+        Box::new(move |t| ch.send(t))
     } else {
-        PathChannel::new(mk(), rng)
+        let mut ch = PathChannel::new(mk(), rng);
+        Box::new(move |t| ch.send(t))
     };
     let mut lost = 0u64;
     let mut delay_sum = 0.0;
     let mut delivered = 0u64;
     let mut t = SimTime::EPOCH;
     for _ in 0..n {
-        match ch.send(t).delay_ms() {
+        match send(t).delay_ms() {
             None => lost += 1,
             Some(d) => {
                 delivered += 1;
@@ -168,9 +175,10 @@ fn blackout_membership_exact_at_epoch_edges() {
     }
 }
 
-/// On a lossless path the fast path consumes the RNG identically to the
-/// exact path, so outcomes are bit-for-bit equal — the calibration tests
-/// that assert exact RTT bands keep holding under the default epoch.
+/// On a lossless path the engine consumes the RNG identically to the
+/// exact reference, so outcomes are bit-for-bit equal — the calibration
+/// tests that assert exact RTT bands keep holding under the epoch cache.
+/// This also pins the reference's per-hop RNG seeding to the engine's.
 #[test]
 fn lossless_paths_bit_identical() {
     let mk = || {
@@ -181,7 +189,7 @@ fn lossless_paths_bit_identical() {
         ]
     };
     let mut fast = PathChannel::new(mk(), SmallRng::seed_from_u64(5));
-    let mut exact = PathChannel::exact(mk(), SmallRng::seed_from_u64(5));
+    let mut exact = ExactPath::new(mk(), SmallRng::seed_from_u64(5));
     let mut t = SimTime::EPOCH;
     for _ in 0..20_000 {
         assert_eq!(fast.send(t), exact.send(t));

@@ -9,7 +9,7 @@
 //! * [`rounds`]/[`TrainSummary`] — probe-round scheduling over multi-day
 //!   windows and campaign aggregation.
 
-use vns_netsim::{Dur, PathChannel, PathOutcome, SimTime};
+use vns_netsim::{BatchScratch, Dur, PathChannel, SimTime, BATCH_LEN};
 
 /// Result of one RTT probe (n echo requests, min RTT kept).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -32,20 +32,27 @@ pub fn rtt_probe(
     gap: Dur,
 ) -> RttProbe {
     let mut received = 0;
-    let mut min_rtt: Option<f64> = None;
-    let pings = (0..count).map(|i| start + gap.mul(u64::from(i)));
-    for (t, outcome) in forward.send_many(pings) {
-        if let PathOutcome::Delivered { arrival, .. } = outcome {
-            if let PathOutcome::Delivered {
-                arrival: back_at, ..
-            } = reverse.send(arrival)
-            {
-                received += 1;
-                let rtt = (back_at - t).as_millis_f64();
-                min_rtt = Some(min_rtt.map_or(rtt, |m: f64| m.min(rtt)));
-            }
+    let mut min_rtt_ns = u64::MAX;
+    echo_train(forward, reverse, start, count, gap, |first, fwd, rev| {
+        received += rev.now.len() as u32;
+        // A reverse-leg index addresses the forward delivered set; chase
+        // it through `fwd.idx` to the request's index in the train.
+        for (j, &back_ns) in rev.now.iter().enumerate() {
+            let r = if rev.idx.is_empty() {
+                j
+            } else {
+                rev.idx[j] as usize
+            };
+            let i = if fwd.idx.is_empty() {
+                r
+            } else {
+                fwd.idx[r] as usize
+            };
+            let sent = start + gap.mul(u64::from(first) + i as u64);
+            min_rtt_ns = min_rtt_ns.min(back_ns - sent.as_nanos());
         }
-    }
+    });
+    let min_rtt = (min_rtt_ns != u64::MAX).then(|| Dur::from_nanos(min_rtt_ns).as_millis_f64());
     RttProbe {
         sent: count,
         received,
@@ -97,23 +104,52 @@ pub fn loss_train(
     at: SimTime,
     count: u32,
 ) -> LossTrain {
-    let spacing = Dur::from_micros(100);
-    let mut lost = 0;
-    let train = (0..count).map(|i| at + spacing.mul(u64::from(i)));
-    for (_, outcome) in forward.send_many(train) {
-        match outcome {
-            PathOutcome::Lost { .. } => lost += 1,
-            PathOutcome::Delivered { arrival, .. } => {
-                if !reverse.send(arrival).delivered() {
-                    lost += 1;
-                }
-            }
-        }
-    }
+    let mut returned = 0;
+    echo_train(
+        forward,
+        reverse,
+        at,
+        count,
+        Dur::from_micros(100),
+        |_, _, rev| returned += rev.now.len() as u32,
+    );
+    let lost = count - returned;
     LossTrain {
         at,
         sent: count,
         lost,
+    }
+}
+
+/// Sends `count` echo requests at `start + gap·i` on `forward` and echoes
+/// each delivered one back on `reverse` at its arrival instant. Both legs
+/// are live-set sends, chained like `vns_media`'s echo sessions: the
+/// forward leg's arrival column is the reverse leg's input. After each
+/// chunk of at most [`BATCH_LEN`] requests, `chunk(first, fwd, rev)` sees
+/// the train index of the chunk's first request and both legs' columns
+/// (see [`PathChannel::send_live`]).
+fn echo_train(
+    forward: &mut PathChannel,
+    reverse: &mut PathChannel,
+    start: SimTime,
+    count: u32,
+    gap: Dur,
+    mut chunk: impl FnMut(u32, &BatchScratch, &BatchScratch),
+) {
+    let mut fwd = vns_netsim::scratch();
+    let mut rev = vns_netsim::scratch();
+    let mut first = 0;
+    while first < count {
+        let n = (count - first).min(BATCH_LEN as u32);
+        fwd.now.clear();
+        fwd.now
+            .extend((first..first + n).map(|i| (start + gap.mul(u64::from(i))).as_nanos()));
+        forward.send_live(&mut fwd);
+        rev.now.clear();
+        rev.now.extend_from_slice(&fwd.now);
+        reverse.send_live(&mut rev);
+        chunk(first, &fwd, &rev);
+        first += n;
     }
 }
 

@@ -11,8 +11,8 @@
 //!
 //! A call's end-to-end path is then a concatenation of cached parts.
 //! After a routing event (fault injection + reconvergence) the table is
-//! rebuilt — paths are an epoch artefact, exactly like the fast-path
-//! channel caches.
+//! rebuilt — paths are an epoch artefact, exactly like the packet
+//! engine's per-hop caches.
 
 use vns_core::{PopId, Vns};
 use vns_geo::city;
