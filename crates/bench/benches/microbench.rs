@@ -118,6 +118,32 @@ fn bench_path_resolution(c: &mut Criterion) {
     });
 }
 
+fn bench_channel_args(c: &mut Criterion) {
+    let world = World::geo(11, 0.45);
+    let metas = prefix_metas(&world);
+    let path = metas
+        .iter()
+        .find_map(|m| world.vns.path_via_vns(&world.internet, PopId(9), m.ip).ok())
+        .expect("a VNS path");
+    let back = path.reversed();
+    // Warm: the hops' templates are built before timing starts.
+    black_box(world.factory.channel_args(&path, format_args!("warm:fwd")));
+    black_box(world.factory.channel_args(&back, format_args!("warm:rev")));
+    c.bench_function("topo/channel_args", |b| {
+        let mut id = 0u64;
+        b.iter(|| {
+            id += 1;
+            let fwd = world
+                .factory
+                .channel_args(&path, format_args!("mb:{id}:fwd"));
+            let rev = world
+                .factory
+                .channel_args(&back, format_args!("mb:{id}:rev"));
+            black_box((fwd, rev));
+        });
+    });
+}
+
 fn bench_path_channel_send(c: &mut Criterion) {
     use vns_netsim::diurnal::{DiurnalProfile, DiurnalShape};
     use vns_netsim::{DelaySampler, HopChannel, PathChannel};
@@ -216,6 +242,7 @@ criterion_group!(
     bench_diurnal,
     bench_topology,
     bench_path_resolution,
+    bench_channel_args,
     bench_media_session
 );
 criterion_main!(benches);

@@ -52,6 +52,8 @@
 //! Packet counts go to the per-thread [`crate::ledger`] (flushed on channel
 //! drop), so the hot loop never touches a shared cache line.
 
+use std::sync::Arc;
+
 use rand::rngs::SmallRng;
 use rand::{RngCore, SeedableRng};
 
@@ -87,8 +89,9 @@ pub struct HopChannel {
     /// Blackout windows (shared schedule, e.g. convergence events on the
     /// underlying link).
     pub blackouts: BlackoutSchedule,
-    /// Human-readable hop label for diagnostics (e.g. `"AS7018:Dallas->AS174:Chicago"`).
-    pub label: String,
+    /// Human-readable hop label for diagnostics (e.g. `"AS7018:Dallas->AS174:Chicago"`),
+    /// shared by every flow over the hop.
+    pub label: Arc<str>,
 }
 
 impl HopChannel {
@@ -99,7 +102,7 @@ impl HopChannel {
             loss: LossProcess::new(LossModel::None, SmallRng::seed_from_u64(0)),
             delay: DelaySampler::fixed(base_ms),
             blackouts: BlackoutSchedule::none(),
-            label: String::new(),
+            label: Arc::from(""),
         }
     }
 }
@@ -296,7 +299,7 @@ impl PathChannel {
 
     /// Hop labels (diagnostics).
     pub fn labels(&self) -> Vec<&str> {
-        self.hops.iter().map(|h| h.label.as_str()).collect()
+        self.hops.iter().map(|h| &*h.label).collect()
     }
 
     /// Sends one packet at `sent`; the packet progresses hop by hop,

@@ -6,6 +6,8 @@
 //! [`BlackoutSchedule`] is a set of such windows on a hop; a
 //! [`FaultGenerator`] draws them from a Poisson process.
 
+use std::sync::Arc;
+
 use rand::rngs::SmallRng;
 use rand::Rng;
 
@@ -13,10 +15,13 @@ use crate::time::{Dur, SimTime};
 
 /// A sorted, non-overlapping set of blackout windows. Packets sent inside a
 /// window are lost with probability 1.
+///
+/// The windows are immutable and shared: every flow over a hop holds the
+/// same schedule, so a clone is a reference-count bump.
 #[derive(Debug, Clone, Default)]
 pub struct BlackoutSchedule {
     /// `(start, end)` pairs, sorted by start, non-overlapping.
-    windows: Vec<(SimTime, SimTime)>,
+    windows: Arc<[(SimTime, SimTime)]>,
 }
 
 impl BlackoutSchedule {
@@ -40,7 +45,9 @@ impl BlackoutSchedule {
                 _ => merged.push((s, e)),
             }
         }
-        Self { windows: merged }
+        Self {
+            windows: merged.into(),
+        }
     }
 
     /// Whether `t` falls inside a blackout window.

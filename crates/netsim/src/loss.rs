@@ -128,23 +128,25 @@ impl LossModel {
                 // what lets a link whose deterministic peak sits below the
                 // knee still lose packets in bad five-minute windows, so
                 // ignoring it would bias calibration to zero.
-                let quantiles: &[f64] = if *fluctuation_sigma > 0.0 {
-                    &STD_NORMAL_Q16
+                // The multipliers do not depend on the hour, so each is
+                // computed once; the sum keeps its hour-major order.
+                let fluct = |z: f64| {
+                    (z * fluctuation_sigma - 0.5 * fluctuation_sigma * fluctuation_sigma).exp()
+                };
+                let factors: &[f64] = if *fluctuation_sigma > 0.0 {
+                    &STD_NORMAL_Q16.map(fluct)
                 } else {
-                    &[0.0]
+                    &[fluct(0.0)]
                 };
                 let n = 96;
                 let mut acc = 0.0;
                 for i in 0..n {
                     let u0 = profile.utilization_at_hour(24.0 * i as f64 / n as f64);
-                    for &z in quantiles {
-                        let fluct = (z * fluctuation_sigma
-                            - 0.5 * fluctuation_sigma * fluctuation_sigma)
-                            .exp();
-                        acc += congestion_p((u0 * fluct).clamp(0.0, 1.0), *knee, *max_p);
+                    for &f in factors {
+                        acc += congestion_p((u0 * f).clamp(0.0, 1.0), *knee, *max_p);
                     }
                 }
-                acc / (n as f64 * quantiles.len() as f64)
+                acc / (n as f64 * factors.len() as f64)
             }
             LossModel::Composite(models) => {
                 // Survival product under independence.

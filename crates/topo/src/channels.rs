@@ -20,11 +20,11 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use vns_geo::{city, Region};
+use vns_geo::{city, CityId, Region};
 use vns_netsim::{
     BlackoutSchedule, DelaySampler, DiurnalProfile, Dur, FaultGenerator, HopChannel, LossModel,
     LossProcess, PathChannel, RngTree, SimTime,
@@ -237,20 +237,66 @@ fn congestion_with_mean(
     }
 }
 
-/// Builds [`PathChannel`]s from resolved paths, caching per-hop blackout
-/// schedules so concurrent flows see the same outage windows.
+/// A hop's flow-independent channel parts: its loss model, delay sampler,
+/// blackout schedule and label, built once per distinct hop and direction.
+///
+/// The key fields are every input [`ChannelFactory::loss_model`] and
+/// [`ChannelFactory::delay_sampler`] read. The label alone is not enough:
+/// [`ResolvedPath::reversed`] keeps each hop's label but swaps its cities,
+/// and the models read the from-city's region and both cities' UTC offsets.
+#[derive(Debug)]
+struct HopTemplate {
+    kind: HopKind,
+    from_city: CityId,
+    to_city: CityId,
+    km: f64,
+    loss: LossModel,
+    delay: DelaySampler,
+    blackouts: BlackoutSchedule,
+    label: Arc<str>,
+}
+
+impl HopTemplate {
+    /// Whether this template was built from a hop equal to `hop` in every
+    /// field the models read (the label is the memo's outer key).
+    fn serves(&self, hop: &ResolvedHop) -> bool {
+        self.kind == hop.kind
+            && self.from_city == hop.from_city
+            && self.to_city == hop.to_city
+            && self.km.to_bits() == hop.km.to_bits()
+    }
+}
+
+/// The memo's entries under one hop label: its templates (normally the two
+/// directions) and the blackout schedule they share.
+#[derive(Debug)]
+struct LabelTemplates {
+    label: Arc<str>,
+    /// Generated at the first faultable template; both directions of a hop
+    /// see the same outages.
+    blackouts: Option<BlackoutSchedule>,
+    hops: Vec<Arc<HopTemplate>>,
+}
+
+/// Builds [`PathChannel`]s from resolved paths.
+///
+/// Each hop's loss model, delay sampler and blackout schedule depend only on
+/// the hop and the factory's [`CalibrationConfig`], which cannot change after
+/// [`ChannelFactory::new`]. The factory builds them once per distinct hop and
+/// direction into a template memo that never needs invalidating;
+/// [`ChannelFactory::channel_args`] looks each hop up and builds only the
+/// per-flow state — the loss process and the delay RNGs.
 ///
 /// Every schedule and seed is derived from the factory's [`RngTree`] by
 /// label, never from call order — so [`ChannelFactory::channel`] takes
 /// `&self` and can be called from campaign worker threads concurrently
-/// with byte-identical results at any thread count. The blackout cache is
-/// pure memoization behind a [`Mutex`]; a cache hit and a recomputation
-/// return the same schedule.
+/// with byte-identical results at any thread count. The memo sits behind a
+/// [`Mutex`]; a hit and a rebuild return equal templates.
 #[derive(Debug)]
 pub struct ChannelFactory {
     config: CalibrationConfig,
     rng: RngTree,
-    blackout_cache: Mutex<BTreeMap<String, BlackoutSchedule>>,
+    templates: Mutex<BTreeMap<String, LabelTemplates>>,
 }
 
 impl ChannelFactory {
@@ -260,19 +306,24 @@ impl ChannelFactory {
         Self {
             config,
             rng,
-            blackout_cache: Mutex::new(BTreeMap::new()),
+            templates: Mutex::new(BTreeMap::new()),
         }
     }
 
-    /// Number of hop blackout schedules memoized so far (diagnostics).
-    pub fn cached_blackout_schedules(&self) -> usize {
-        // The cache is a pure memo of deterministic schedules — always
-        // valid, so recover from poisoning rather than cascading a
-        // worker's panic into misleading poisoned-lock aborts under par_map.
-        self.blackout_cache
+    /// The template memo. A template is inserted only once fully built, so
+    /// the map is valid at every step: recover from poisoning rather than
+    /// cascading a worker's panic into misleading poisoned-lock aborts
+    /// under `par_map`.
+    fn memo(&self) -> MutexGuard<'_, BTreeMap<String, LabelTemplates>> {
+        self.templates
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .len()
+    }
+
+    /// Number of hop templates memoized so far, one per distinct hop and
+    /// direction (diagnostics).
+    pub fn cached_hop_templates(&self) -> usize {
+        self.memo().values().map(|e| e.hops.len()).sum()
     }
 
     /// Configuration access.
@@ -440,12 +491,8 @@ impl ChannelFactory {
         }
     }
 
-    /// Blackout schedule for a hop (cached by label: flows share outages).
-    ///
-    /// The schedule is a pure function of (factory seed, hop label); the
-    /// cache only avoids regenerating it, so concurrent callers racing on
-    /// the same label compute identical schedules either way.
-    fn blackouts(&self, hop: &ResolvedHop) -> BlackoutSchedule {
+    /// Whether `hop` suffers convergence blackouts.
+    fn faultable(&self, hop: &ResolvedHop) -> bool {
         let subject_to_faults = matches!(
             hop.kind,
             HopKind::IntraAs {
@@ -454,23 +501,49 @@ impl ChannelFactory {
             }
         ) || (matches!(hop.kind, HopKind::InterAs { .. })
             && hop.km > 500.0);
-        if !subject_to_faults || self.config.blackout_events_per_day <= 0.0 {
-            return BlackoutSchedule::none();
+        subject_to_faults && self.config.blackout_events_per_day > 0.0
+    }
+
+    /// The template for `hop`, built on first use. A hit looks the label up
+    /// by `&str` and allocates nothing.
+    fn template(&self, hop: &ResolvedHop) -> Arc<HopTemplate> {
+        let mut memo = self.memo();
+        if let Some(t) = memo
+            .get(hop.label.as_str())
+            .and_then(|e| e.hops.iter().find(|t| t.serves(hop)))
+        {
+            return Arc::clone(t);
         }
-        // Pure memo: never invalid, so a panicked peer's poison is safe to
-        // strip (see cached_blackout_schedules).
-        let mut cache = self
-            .blackout_cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(s) = cache.get(&hop.label) {
-            return s.clone();
-        }
-        let gen = FaultGenerator::convergence(self.config.blackout_events_per_day);
-        let mut rng = self.rng.stream(&format!("blackout:{}", hop.label));
-        let schedule = gen.generate(SimTime::EPOCH, self.config.blackout_horizon, &mut rng);
-        cache.insert(hop.label.clone(), schedule.clone());
-        schedule
+        let entry = memo
+            .entry(hop.label.clone())
+            .or_insert_with(|| LabelTemplates {
+                label: Arc::from(hop.label.as_str()),
+                blackouts: None,
+                hops: Vec::new(),
+            });
+        let blackouts = if self.faultable(hop) {
+            // A pure function of (factory seed, hop label).
+            let schedule = entry.blackouts.get_or_insert_with(|| {
+                let gen = FaultGenerator::convergence(self.config.blackout_events_per_day);
+                let mut rng = self.rng.stream(&format!("blackout:{}", hop.label));
+                gen.generate(SimTime::EPOCH, self.config.blackout_horizon, &mut rng)
+            });
+            schedule.clone()
+        } else {
+            BlackoutSchedule::none()
+        };
+        let template = Arc::new(HopTemplate {
+            kind: hop.kind,
+            from_city: hop.from_city,
+            to_city: hop.to_city,
+            km: hop.km,
+            loss: self.loss_model(hop),
+            delay: self.delay_sampler(hop),
+            blackouts,
+            label: Arc::clone(&entry.label),
+        });
+        entry.hops.push(Arc::clone(&template));
+        template
     }
 
     /// Builds a per-flow channel for `path`. `flow_label` individualises
@@ -488,17 +561,15 @@ impl ChannelFactory {
     pub fn channel_args(&self, path: &ResolvedPath, flow_label: fmt::Arguments<'_>) -> PathChannel {
         let mut hops = Vec::with_capacity(path.hops.len());
         for (i, hop) in path.hops.iter().enumerate() {
-            let model = self.loss_model(hop);
-            let delay = self.delay_sampler(hop);
-            let blackouts = self.blackouts(hop);
+            let template = self.template(hop);
             let seed = self
                 .rng
                 .seed_for_args(format_args!("flow:{flow_label}:hop{i}:{}", hop.label));
             hops.push(HopChannel {
-                loss: LossProcess::new(model, SmallRng::seed_from_u64(seed)),
-                delay,
-                blackouts,
-                label: hop.label.clone(),
+                loss: LossProcess::new(template.loss.clone(), SmallRng::seed_from_u64(seed)),
+                delay: template.delay.clone(),
+                blackouts: template.blackouts.clone(),
+                label: Arc::clone(&template.label),
             });
         }
         let rng = self.rng.stream_args(format_args!("flowdelay:{flow_label}"));
@@ -511,6 +582,7 @@ mod tests {
     use super::*;
     use vns_bgp::Asn;
     use vns_geo::cities::city_by_name;
+    use vns_netsim::PathOutcome;
 
     fn hop(kind: HopKind, from: &str, to: &str, km: f64, label: &str) -> ResolvedHop {
         ResolvedHop {
@@ -621,6 +693,73 @@ mod tests {
         }
     }
 
+    /// `LossModel::mean_rate`'s congestion arm as first written: the
+    /// fluctuation factor evaluated inside the hour loop.
+    fn mean_rate_per_hour_factor(profile: DiurnalProfile, knee: f64, sigma: f64) -> f64 {
+        const Q16: [f64; 16] = [
+            -1.863, -1.318, -1.010, -0.776, -0.579, -0.402, -0.237, -0.078, 0.078, 0.237, 0.402,
+            0.579, 0.776, 1.010, 1.318, 1.863,
+        ];
+        let congestion_p = |util: f64| {
+            if util <= knee || knee >= 1.0 {
+                0.0
+            } else {
+                let x = ((util - knee) / (1.0 - knee)).clamp(0.0, 1.0);
+                x * x
+            }
+        };
+        let quantiles: &[f64] = if sigma > 0.0 { &Q16 } else { &[0.0] };
+        let n = 96;
+        let mut acc = 0.0;
+        for i in 0..n {
+            let u0 = profile.utilization_at_hour(24.0 * i as f64 / n as f64);
+            for &z in quantiles {
+                let fluct = (z * sigma - 0.5 * sigma * sigma).exp();
+                acc += congestion_p((u0 * fluct).clamp(0.0, 1.0));
+            }
+        }
+        acc / (n as f64 * quantiles.len() as f64)
+    }
+
+    #[test]
+    fn mean_rate_hoisted_factors_are_bit_identical() {
+        let cfg = CalibrationConfig::default();
+        // (shape, base, amplitude, knee) of every congestion component the
+        // factory calibrates: the four transit profiles and the last mile
+        // of each AS type.
+        let mut profiles: Vec<(DiurnalShape, f64, f64, f64)> = [
+            cfg.transit_eu,
+            cfg.transit_na,
+            cfg.transit_ap,
+            cfg.transit_rest,
+        ]
+        .iter()
+        .map(|t| (DiurnalShape::Mixed, t.base_util, t.amplitude, t.knee))
+        .collect();
+        profiles.extend(
+            AsType::ALL
+                .iter()
+                .map(|&ty| (last_mile_shape(ty), 0.50, 0.42, 0.70)),
+        );
+        for (shape, base, amplitude, knee) in profiles {
+            for sigma in [cfg.fluctuation_sigma, 0.0] {
+                // max_p 1.0 is calibration's probe; the mean is linear in it.
+                let profile = DiurnalProfile::new(shape, base, amplitude, 0.0);
+                let model = LossModel::Congestion {
+                    profile,
+                    knee,
+                    max_p: 1.0,
+                    fluctuation_sigma: sigma,
+                };
+                assert_eq!(
+                    model.mean_rate().to_bits(),
+                    mean_rate_per_hour_factor(profile, knee, sigma).to_bits(),
+                    "{shape:?} base {base} amplitude {amplitude} sigma {sigma}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn table1_ordering_holds_in_targets() {
         // AP & EU: CAHP > EC > STP > LTP; NA: roughly flat.
@@ -642,7 +781,19 @@ mod tests {
 
     #[test]
     fn blackout_schedules_shared_across_flows() {
-        let f = factory();
+        // Lossless haul: a packet is lost exactly when it meets a blackout.
+        let clean = TransitProfile {
+            mean_per_4000km: 0.0,
+            bernoulli_per_4000km: 0.0,
+            ..CalibrationConfig::default().transit_eu
+        };
+        let f = ChannelFactory::new(
+            CalibrationConfig {
+                transit_eu: clean,
+                ..CalibrationConfig::default()
+            },
+            RngTree::new(42).subtree("ch"),
+        );
         let h = hop(
             HopKind::IntraAs {
                 asn: Asn(1),
@@ -659,13 +810,40 @@ mod tests {
             hops: vec![h],
             routers: vec![],
         };
-        let a = f.channel(&path, "flow-a");
-        let b = f.channel(&path, "flow-b");
-        // Same hop label -> same blackout schedule object contents. Verify
-        // indirectly: both channels have one hop and identical base delay.
-        assert_eq!(a.hop_count(), 1);
-        assert_eq!(a.base_delay_ms(), b.base_delay_ms());
-        assert_eq!(f.cached_blackout_schedules(), 1);
+        let mut flows = [
+            f.channel(&path, "flow-a"),
+            f.channel(&path, "flow-b"),
+            f.channel(&path.reversed(), "flow-a"),
+        ];
+        // One template per direction; both share the label's schedule.
+        assert_eq!(f.cached_hop_templates(), 2);
+        let schedule = f.memo()["shared-haul"]
+            .blackouts
+            .clone()
+            .expect("faultable hop has a schedule");
+        assert!(!schedule.is_empty());
+        let before = |t: SimTime| SimTime::from_nanos(t.as_nanos() - 1);
+        let (mut t, mut windows) = (SimTime::EPOCH, 0);
+        loop {
+            // `t` is clear; its segment ends where the next window starts.
+            let (_, start, _) = schedule.segment_at(t);
+            if start == SimTime::MAX {
+                break;
+            }
+            let (_, end, blacked) = schedule.segment_at(start);
+            assert!(blacked);
+            // Every flow and both directions: delivered just outside the
+            // window, lost at hop 0 on its first and last nanosecond.
+            for ch in &mut flows {
+                assert!(ch.send(before(start)).delivered(), "before {start:?}");
+                assert_eq!(ch.send(start), PathOutcome::Lost { hop: 0 });
+                assert_eq!(ch.send(before(end)), PathOutcome::Lost { hop: 0 });
+                assert!(ch.send(end).delivered(), "at {end:?}");
+            }
+            windows += 1;
+            t = end;
+        }
+        assert_eq!(windows, schedule.len());
     }
 
     #[test]
@@ -725,13 +903,10 @@ mod blackout_tests {
         };
         let ch = f.channel(&path, "flow");
         let _ = ch;
-        let sched = f
-            .blackout_cache
-            .lock()
-            .unwrap()
-            .get("bb:test")
-            .expect("schedule cached")
-            .clone();
+        let sched = f.memo()["bb:test"]
+            .blackouts
+            .clone()
+            .expect("schedule cached");
         // 30-day horizon at 4 events/day: ~120 windows.
         assert!(
             (60..240).contains(&sched.len()),
